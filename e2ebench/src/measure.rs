@@ -69,16 +69,19 @@ pub fn peak_rss_mb() -> Result<f64, String> {
 }
 
 /// Whether a run should set up once more: every run sets up at least 3
-/// times and keeps going, up to 25 times, until 4 s have gone to set-ups,
-/// so that a set-up of milliseconds is timed often enough for a steady
-/// median and one of seconds is not repeated past the run's budget.
+/// times and keeps going, up to 200 times, until 4 s have gone to
+/// set-ups, so that a set-up of milliseconds is timed often enough, and
+/// over long enough, for a median that one host stall cannot move, and
+/// one of seconds is not repeated past the run's budget.
 pub fn more_setups(setups_s: &[f64]) -> bool {
     let spent: f64 = setups_s.iter().sum();
-    setups_s.len() < 3 || (setups_s.len() < 25 && spent < 4.0)
+    setups_s.len() < 3 || (setups_s.len() < 200 && spent < 4.0)
 }
 
-/// Median wall time, in µs, of 2000 empty `StaticPool::run` regions.
-pub fn dispatch_us(pool: &StaticPool) -> f64 {
+/// Median wall time, in µs, of 2000 empty `StaticPool::run` regions on a
+/// pool of `threads` threads.
+pub fn dispatch_us(threads: usize) -> Result<f64, String> {
+    let pool = StaticPool::try_new(threads).map_err(|e| e.to_string())?;
     let us: Vec<f64> = (0..2000)
         .map(|_| {
             let t0 = Instant::now();
@@ -88,7 +91,7 @@ pub fn dispatch_us(pool: &StaticPool) -> f64 {
             t0.elapsed().as_secs_f64() * 1e6
         })
         .collect();
-    median(&us)
+    Ok(median(&us))
 }
 
 /// `n / d`, or 0 when `d` is 0 (a layer the workload does not run).

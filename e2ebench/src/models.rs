@@ -1,7 +1,7 @@
 //! Whole-model workloads: one closed-loop caller runs `Engine::try_run` at
 //! batch 1 on an `NDirectBackend`, with residual and dw+pw fusion on (each
 //! applies only where its pattern occurs), on a pool of `threads` threads
-//! (the caller is thread 0).
+//! (the caller is thread 0; see `MODEL_THREADS`).
 
 use std::collections::BTreeMap;
 use std::hint::black_box;
@@ -35,8 +35,6 @@ const PROB_TOL: f64 = 1e-4;
 /// The zoo models the benchmark runs.
 #[derive(Debug, Clone, Copy)]
 pub enum Zoo {
-    /// `zoo::resnet50`.
-    ResNet50,
     /// `zoo::vgg16`.
     Vgg16,
     /// `zoo::mobilenet_lite`.
@@ -46,7 +44,6 @@ pub enum Zoo {
 impl Zoo {
     fn build(self, seed: u64) -> Model {
         match self {
-            Zoo::ResNet50 => ndirect_models::resnet50(seed),
             Zoo::Vgg16 => ndirect_models::vgg16(seed),
             Zoo::MobileNetLite => ndirect_models::mobilenet_lite(seed),
         }
@@ -297,6 +294,9 @@ pub fn run(zoo: Zoo, cfg: &RunConfig) -> Result<Outcome, String> {
     details.push(("tail_ms".into(), Json::num(t.value)));
     details.push(("tail_pct".into(), Json::num(t.pct)));
     details.push(("setups".into(), Json::usize(setups.len())));
+    let all = |v: &[f64]| Json::Arr(v.iter().map(|&x| Json::num(x)).collect());
+    details.push(("setup_s".into(), all(&setups)));
+    details.push(("lat_ms".into(), all(&lat)));
     Ok(Outcome {
         attempted: checks.attempted,
         failed: checks.failed,
@@ -512,13 +512,6 @@ pub fn run_traced(zoo: Zoo, cfg: &RunConfig) -> Result<Outcome, String> {
             ("core.conv_calls", sum("conv", &|_| 1.0)),
             ("core.conv_gflops", gflops(conv_s, sum("conv", &flops))),
             (
-                "core.conv1x1_gflops",
-                gflops(
-                    sum("conv", &of_size(1.0, Span::secs)),
-                    sum("conv", &of_size(1.0, flops)),
-                ),
-            ),
-            (
                 "core.conv3x3_gflops",
                 gflops(
                     sum("conv", &of_size(3.0, Span::secs)),
@@ -546,7 +539,7 @@ pub fn run_traced(zoo: Zoo, cfg: &RunConfig) -> Result<Outcome, String> {
                 median(&roots.iter().map(|r| r.self_s()).collect::<Vec<_>>()),
             ),
             ("gemm.fc_s", sum("gemm_fc", &Span::secs)),
-            ("threads.dispatch_us", dispatch_us(pool)),
+            ("threads.dispatch_us", dispatch_us(cfg.nproc)?),
             ("bench.lat_tail_ms", t.value),
             ("bench.unattributed_frac", self_total / root_total),
             (
